@@ -121,7 +121,7 @@ pub const APPROVED_HELPERS: &[&str] = &["mac_eq", "ct_eq"];
 /// through them):
 ///
 /// * `crates/mpint/` — bignum kernels are data-dependent by construction
-///   (square-and-multiply walks exponent bits); the paper accounts for
+///   (the sliding window walks exponent bits); the paper accounts for
 ///   their cost in the closed-form model, and the secret-flow invariant
 ///   guards the protocol layer above them,
 /// * `crates/core/src/audit.rs` — the leakage-accounting boundary

@@ -11,8 +11,9 @@
 //!   limbs, with schoolbook and Karatsuba multiplication and Knuth
 //!   Algorithm D division,
 //! * [`Int`] — a signed wrapper used by the extended Euclidean algorithm,
-//! * modular arithmetic ([`modular`]) including Montgomery-form windowed
-//!   exponentiation,
+//! * modular arithmetic ([`modular`]) including Montgomery-form
+//!   sliding-window exponentiation, whose window width follows the
+//!   exponent's length, over allocation-free multiply and square kernels,
 //! * number theory ([`numtheory`]): gcd, extended gcd, modular inverse,
 //!   Jacobi symbol,
 //! * probabilistic prime and safe-prime generation ([`prime`]),
@@ -21,8 +22,10 @@
 //!   trait plus OS entropy and a seedable test generator.
 //!
 //! The implementation favours clarity and reviewability over raw speed and
-//! is **not** constant-time; see the workspace DESIGN.md for the threat
-//! model (semi-honest parties, as in the paper).
+//! is **not** constant-time: division, the sliding window (which branches on
+//! exponent bits) and the Montgomery kernels' final subtraction all depend
+//! on the data.  See the workspace DESIGN.md for the threat model
+//! (semi-honest parties, as in the paper).
 //!
 //! # Example
 //!

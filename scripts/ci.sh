@@ -7,6 +7,12 @@ cargo build --release --offline
 cargo test -q --offline
 cargo fmt --check
 
+# The bignum kernels' oracle, run by name: Montgomery multiply, square and
+# sliding-window modpow checked against division-based arithmetic on
+# moduli of 1-32 limbs and exponents straddling every window threshold.
+cargo test -q --offline -p mpint
+echo "mpint: Montgomery kernels agree with the division-based oracle"
+
 # The engine's hard invariant, run by name so a filter change can never
 # silently drop it: identical RunReports at 1, 2, and 8 worker threads.
 cargo test -q --offline -p secmed-core --test determinism
