@@ -25,12 +25,13 @@ use std::path::PathBuf;
 
 use secmed_core::workload::WorkloadSpec;
 use secmed_core::{
-    CommutativeConfig, DasConfig, Fabric, MedError, PmConfig, ReconnectPolicy, RunOptions,
-    ScenarioBuilder, SocketFabric, TraceSink,
+    CommutativeConfig, DasConfig, Fabric, MedError, PmConfig, RunOptions, ScenarioBuilder,
+    SocketFabric, TraceSink,
 };
 use secmed_obs::metrics::{self, Clock, MonotonicClock};
 use secmed_obs::trajectory::TrajectoryFile;
 use secmed_server::{Server, ServerConfig, ServerFaultPlan, SessionOutcome};
+use secmed_testkit::chaos::reconnect_for;
 
 const HELD: u64 = 8;
 const OVERFLOW: u64 = 24;
@@ -111,14 +112,8 @@ fn chaos_workload() -> (u64, Vec<f64>) {
                     _ => RunOptions::pm(PmConfig::default()),
                 }
                 .trace(TraceSink::Discard);
-                let reconnect = ReconnectPolicy {
-                    max_reconnects: 64,
-                    base_backoff_ns: 50_000,
-                    backoff_cap_ns: 2_000_000,
-                    seed: i,
-                };
                 let report =
-                    secmed_client::run_session_with(addr, i + 1, &mut sc, &opts, reconnect)
+                    secmed_client::run_session_with(addr, i + 1, &mut sc, &opts, reconnect_for(i))
                         .unwrap_or_else(|e| panic!("chaos session {i} failed: {e}"));
                 assert!(
                     report.outcome.is_clean(),

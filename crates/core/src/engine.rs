@@ -29,7 +29,7 @@ use crate::protocol::{
     commutative, das, pm, request_phase, CommutativeConfig, DasConfig, PmConfig, ProtocolKind,
     RunOutcome, RunReport, Scenario,
 };
-use crate::transport::{DeliveryPolicy, Fabric, FaultPlan, PartyId, Transport};
+use crate::transport::{DeliveryPolicy, Fabric, FaultPlan, Link, PartyId, Transport};
 use crate::workload::Workload;
 use crate::MedError;
 
@@ -283,9 +283,9 @@ impl Engine {
         let mut root = secmed_obs::span("run");
         root.field("protocol", kind.key());
         let before = Snapshot::capture();
-        fabric.set_policy(opts.delivery);
+        fabric.recorder_mut().set_policy(opts.delivery);
         if let Some(plan) = &opts.faults {
-            fabric.install_faults(plan.clone());
+            fabric.recorder_mut().install_faults(plan.clone());
         }
         let driven = Self::drive(sc, kind, &mut fabric, &pool);
         // A delay on the final message must still surface in the log.
@@ -326,10 +326,11 @@ impl Engine {
         report.client_view = client_view;
         report.primitives = Snapshot::capture().since(&before);
         // Per-run deterministic metrics: the fabric totals from this run's
-        // own transport log plus this run's census delta.  Both are pure
-        // functions of the scenario seed (never of wall clocks, schedules,
-        // or the process-global registry, which concurrent runs share), so
-        // the determinism fingerprint covers them at every thread count.
+        // own transport log plus the census delta above.  The log totals
+        // are pure functions of the scenario seed.  The census is not
+        // run-scoped: `primitives` is a delta of the process-global
+        // `COUNTERS`, so it is exact only when no other run shares the
+        // process — concurrent runs leak into it (ROADMAP item 1).
         let mut metrics = report.transport.run_metrics();
         for &(op, n) in &report.primitives {
             metrics.push((secmed_crypto::metrics::registry_name(op), n));
@@ -354,23 +355,23 @@ impl Engine {
         Ok(report)
     }
 
-    /// Listing 1 followed by the selected delivery phase.
+    /// Listing 1 followed by the selected delivery phase.  Each phase gets
+    /// a [`Link`] to the fabric, never the fabric itself.
     fn drive<F: Fabric>(
         sc: &mut Scenario,
         kind: ProtocolKind,
-        transport: &mut F,
+        fabric: &mut F,
         pool: &Pool,
     ) -> Result<RunReport, MedError> {
         let prepared = {
             let _s = secmed_obs::span(&format!("{}.request", kind.key()));
-            request_phase(sc, transport)?
+            request_phase(sc, Link::new(fabric))?
         };
+        let link = Link::new(fabric);
         match kind {
-            ProtocolKind::Das(cfg) => das::deliver(sc, prepared, cfg, transport, pool),
-            ProtocolKind::Commutative(cfg) => {
-                commutative::deliver(sc, prepared, cfg, transport, pool)
-            }
-            ProtocolKind::Pm(cfg) => pm::deliver(sc, prepared, cfg, transport, pool),
+            ProtocolKind::Das(cfg) => das::deliver(sc, prepared, cfg, link, pool),
+            ProtocolKind::Commutative(cfg) => commutative::deliver(sc, prepared, cfg, link, pool),
+            ProtocolKind::Pm(cfg) => pm::deliver(sc, prepared, cfg, link, pool),
         }
     }
 }

@@ -57,14 +57,14 @@ pub use engine::{Engine, ExecPolicy, RunOptions, ScenarioBuilder, TraceSink};
 pub use party::{Client, DataSource, Mediator};
 pub use plan::{LeakageBudget, NodeInput, Plan, PlanNode, PlanReport, PlanRunOptions};
 pub use policy::{AccessDecision, AccessPolicy, AccessRule};
-pub use protocol::RunOutcome;
 pub use protocol::{
     CommutativeConfig, CommutativeMode, DasConfig, DasSetting, PmConfig, PmEval, PmPayloadMode,
     ProtocolKind, RunReport, Scenario,
 };
+pub use protocol::{Degradations, RunOutcome};
 pub use transport::socket::{ReconnectPolicy, SocketFabric};
 pub use transport::{
-    DeliveryError, DeliveryFailure, DeliveryPolicy, Envelope, Fabric, FaultKind, FaultPlan,
+    DeliveryError, DeliveryFailure, DeliveryPolicy, Envelope, Fabric, FaultKind, FaultPlan, Link,
     LinkMask, OnExhausted, Outage, PartyId, Transport,
 };
 

@@ -115,11 +115,11 @@ pub fn plan_stats(exec: &PlanReport) -> Vec<PlanNodeStat> {
 
 /// Builds the unified report for one executed plan.
 ///
-/// Traffic, primitive, interaction, and metric sections aggregate over
-/// every node's run (summed per edge / primitive / partner / metric key,
-/// in first-use order), the leakage section carries each node's audited
-/// views prefixed with its label, and the `plan` section records the
-/// per-node protocol choice and divergence cross-check.  Every number is
+/// Traffic, primitive, interaction, and metric sections merge every
+/// node's [`unified_report`] (summed per edge / primitive / partner /
+/// metric key, in first-use order), the leakage section carries each
+/// node's audited views prefixed with its label, and the `plan` section
+/// records the per-node protocol choice and divergence cross-check.  Every number is
 /// drawn from the nodes' own recorders, so the report is byte-identical
 /// across reruns and thread counts.
 pub fn unified_plan_report(plan: &Plan, exec: &PlanReport) -> UnifiedReport {
@@ -131,67 +131,38 @@ pub fn unified_plan_report(plan: &Plan, exec: &PlanReport) -> UnifiedReport {
     let mut retries = 0u64;
     let mut outcome = "clean".to_string();
     for n in &exec.nodes {
-        for e in n.report.transport.log() {
-            let from = e.from.to_string();
-            let to = e.to.to_string();
-            match edges.iter_mut().find(|x| x.from == from && x.to == to) {
-                Some(x) => {
-                    x.messages += 1;
-                    x.bytes += e.bytes() as u64;
-                }
-                None => edges.push(EdgeStat {
-                    from,
-                    to,
-                    messages: 1,
-                    bytes: e.bytes() as u64,
-                }),
-            }
-        }
-        for (op, count) in &n.report.primitives {
-            let name = op.name();
-            match ops.iter_mut().find(|o| o.name == name) {
-                Some(o) => o.count += count,
-                None => ops.push(OpStat {
-                    name: name.to_string(),
-                    count: *count,
-                }),
-            }
-        }
-        let mut partners: Vec<PartyId> = Vec::new();
-        for e in n.report.transport.log() {
-            for p in [&e.from, &e.to] {
-                if *p != PartyId::Mediator && !partners.contains(p) {
-                    partners.push(p.clone());
-                }
-            }
-        }
-        for p in partners {
-            let key = p.to_string();
-            let count = n.report.transport.interactions_of(&p) as u64;
-            match interactions.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, v)) => *v += count,
-                None => interactions.push((key, count)),
-            }
-        }
-        leakage.push(format!(
-            "{}: mediator: {}",
-            n.label,
-            n.report.mediator_view.describe()
-        ));
-        leakage.push(format!(
-            "{}: client: {}",
-            n.label,
-            n.report.client_view.describe()
-        ));
-        for (k, v) in &n.report.metrics {
-            match metrics.iter_mut().find(|(mk, _)| mk == k) {
-                Some((_, mv)) => *mv += v,
-                None => metrics.push((k.clone(), *v)),
-            }
-        }
-        retries += n.report.outcome.retries();
-        if outcome == "clean" && n.report.outcome.key() != "clean" {
-            outcome = n.report.outcome.key().to_string();
+        let node = unified_report(n.protocol, &n.report, &[], Vec::new());
+        merge_by_key(
+            &mut edges,
+            node.edges,
+            |a, b| a.from == b.from && a.to == b.to,
+            |a, b| {
+                a.messages += b.messages;
+                a.bytes += b.bytes;
+            },
+        );
+        merge_by_key(
+            &mut ops,
+            node.ops,
+            |a, b| a.name == b.name,
+            |a, b| a.count += b.count,
+        );
+        merge_by_key(
+            &mut interactions,
+            node.interactions,
+            |a, b| a.0 == b.0,
+            |a, b| a.1 += b.1,
+        );
+        merge_by_key(
+            &mut metrics,
+            node.metrics,
+            |a, b| a.0 == b.0,
+            |a, b| a.1 += b.1,
+        );
+        leakage.extend(node.leakage.iter().map(|l| format!("{}: {l}", n.label)));
+        retries += node.retries;
+        if outcome == "clean" {
+            outcome = node.outcome;
         }
     }
     metrics.sort();
@@ -211,6 +182,22 @@ pub fn unified_plan_report(plan: &Plan, exec: &PlanReport) -> UnifiedReport {
         retries,
         metrics,
         plan: plan_stats(exec),
+    }
+}
+
+/// Appends `items` to `into` in order, folding each into the existing
+/// entry with the same key via `add` (first-use order is kept).
+fn merge_by_key<T>(
+    into: &mut Vec<T>,
+    items: Vec<T>,
+    same_key: impl Fn(&T, &T) -> bool,
+    add: impl Fn(&mut T, &T),
+) {
+    for item in items {
+        match into.iter_mut().find(|x| same_key(x, &item)) {
+            Some(x) => add(x, &item),
+            None => into.push(item),
+        }
     }
 }
 

@@ -26,10 +26,10 @@ use secmed_crypto::{SraCipher, SraDomain};
 use secmed_pool::Pool;
 
 use crate::protocol::{
-    apply_residual, assemble_from_tuple_sets, degrade_note, group_by_join_key, CommutativeConfig,
-    CommutativeMode, Prepared, RunOutcome, RunReport, Scenario,
+    apply_residual, assemble_from_tuple_sets, degrade_note, driver_outcome, group_by_join_key,
+    CommutativeConfig, CommutativeMode, Prepared, RunReport, Scenario,
 };
-use crate::transport::{Fabric, Frame, PartyId, Transport};
+use crate::transport::{Fabric, Frame, Link, PartyId, Transport};
 use crate::MedError;
 use secmed_wire::TupleRef;
 
@@ -45,7 +45,7 @@ pub fn deliver<F: Fabric>(
     sc: &mut Scenario,
     p: Prepared,
     cfg: CommutativeConfig,
-    transport: &mut F,
+    mut transport: Link<'_, F>,
     pool: &Pool,
 ) -> Result<RunReport, MedError> {
     // The client key each source encrypts tuple sets under comes from its
@@ -289,14 +289,7 @@ pub fn deliver<F: Fabric>(
 
     Ok(RunReport {
         result,
-        outcome: if degraded.is_empty() {
-            RunOutcome::Clean
-        } else {
-            RunOutcome::Degraded {
-                details: degraded,
-                retries: 0, // filled in by the engine
-            }
-        },
+        outcome: driver_outcome(degraded),
         transport: Transport::new(),
         mediator_view: Default::default(),
         client_view: Default::default(),

@@ -26,10 +26,10 @@ use secmed_pool::Pool;
 
 use crate::party::DataSource;
 use crate::protocol::{
-    apply_residual, assemble_from_candidates, degrade_note, DasConfig, DasSetting, Prepared,
-    RunOutcome, RunReport, Scenario,
+    apply_residual, assemble_from_candidates, degrade_note, driver_outcome, DasConfig, DasSetting,
+    Prepared, RunReport, Scenario,
 };
-use crate::transport::{Fabric, Frame, PartyId, Transport};
+use crate::transport::{Fabric, Frame, Link, PartyId, Transport};
 use crate::MedError;
 use secmed_wire::DasTable;
 
@@ -47,7 +47,7 @@ pub fn deliver<F: Fabric>(
     sc: &mut Scenario,
     p: Prepared,
     cfg: DasConfig,
-    transport: &mut F,
+    mut transport: Link<'_, F>,
     pool: &Pool,
 ) -> Result<RunReport, MedError> {
     if p.join_attrs.len() != 1 {
@@ -261,14 +261,7 @@ pub fn deliver<F: Fabric>(
 
     Ok(RunReport {
         result,
-        outcome: if degraded.is_empty() {
-            RunOutcome::Clean
-        } else {
-            RunOutcome::Degraded {
-                details: degraded,
-                retries: 0, // filled in by the engine
-            }
-        },
+        outcome: driver_outcome(degraded),
         transport: Transport::new(), // replaced by the caller
         mediator_view: Default::default(),
         client_view: Default::default(),

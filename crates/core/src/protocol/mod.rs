@@ -26,7 +26,7 @@ use secmed_das::PartitionScheme;
 
 use crate::audit::{ClientView, MediatorView};
 use crate::party::{Client, DataSource, Mediator};
-use crate::transport::{DeliveryFailure, Fabric, Frame, PartyId, Transport};
+use crate::transport::{DeliveryFailure, Fabric, Frame, Link, PartyId, Transport};
 use crate::MedError;
 
 /// Which delivery-phase protocol to run, with its options.
@@ -175,7 +175,7 @@ pub enum RunOutcome {
     /// partial input instead of aborting (policy `OnExhausted::Degrade`).
     Degraded {
         /// Which deliveries degraded, in protocol order.
-        details: Vec<String>,
+        details: Degradations,
         /// Retransmissions executed across the run.
         retries: u64,
     },
@@ -229,11 +229,9 @@ impl std::fmt::Display for RunOutcome {
             RunOutcome::RecoveredWithRetries { retries } => {
                 write!(f, "recovered after {retries} retransmission(s)")
             }
-            RunOutcome::Degraded { details, retries } => write!(
-                f,
-                "degraded ({}; {retries} retransmission(s))",
-                details.join("; ")
-            ),
+            RunOutcome::Degraded { details, retries } => {
+                write!(f, "degraded ({details}; {retries} retransmission(s))")
+            }
             RunOutcome::Aborted { error, retries } => {
                 write!(f, "aborted after {retries} retransmission(s): {error}")
             }
@@ -241,10 +239,62 @@ impl std::fmt::Display for RunOutcome {
     }
 }
 
+/// The deliveries a degraded run substituted past, in protocol order.
+///
+/// Never empty: the only constructor returns `None` for an empty list of
+/// notes, so a [`RunOutcome::Degraded`] always says what it lost.
+/// `Debug` renders like the `Vec<String>` of notes; `Display` joins them
+/// with `"; "`.
+///
+/// ```
+/// use secmed_core::{Degradations, RunOutcome};
+/// let details = Degradations::new(vec!["L3.4 undelivered".to_string()]).unwrap();
+/// let outcome = RunOutcome::Degraded { details, retries: 0 };
+/// assert_eq!(outcome.to_string(), "degraded (L3.4 undelivered; 0 retransmission(s))");
+/// assert!(Degradations::new(Vec::new()).is_none());
+/// ```
+///
+/// A degraded outcome built from a bare list does not compile:
+///
+/// ```compile_fail,E0308
+/// use secmed_core::RunOutcome;
+/// let outcome = RunOutcome::Degraded { details: vec![], retries: 0 };
+/// ```
+#[derive(Clone, PartialEq, Eq)]
+pub struct Degradations(Vec<String>);
+
+impl Degradations {
+    /// The drivers' degradation notes, or `None` when there are none.
+    pub fn new(notes: Vec<String>) -> Option<Self> {
+        (!notes.is_empty()).then_some(Degradations(notes))
+    }
+}
+
+impl std::fmt::Debug for Degradations {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.0.fmt(f)
+    }
+}
+
+impl std::fmt::Display for Degradations {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.0.join("; "))
+    }
+}
+
 /// The standard note a driver records when it degrades past an exhausted
 /// delivery (one entry in [`RunOutcome::Degraded`]'s details).
 pub(crate) fn degrade_note(f: &DeliveryFailure) -> String {
     format!("{} undelivered after {} attempt(s)", f.label, f.attempts)
+}
+
+/// A driver's outcome from its degradation notes: `Degraded` with them,
+/// `Clean` without any.  The engine fills in `retries`.
+pub(crate) fn driver_outcome(notes: Vec<String>) -> RunOutcome {
+    Degradations::new(notes).map_or(RunOutcome::Clean, |details| RunOutcome::Degraded {
+        details,
+        retries: 0,
+    })
 }
 
 /// The complete output of one protocol run.
@@ -290,7 +340,7 @@ impl Scenario {
     /// protocol end-to-end).
     pub fn expected_result(&mut self) -> Result<Relation, MedError> {
         let mut transport = Transport::new();
-        let p = request_phase(self, &mut transport)?;
+        let p = request_phase(self, Link::new(&mut transport))?;
         let joined = p.left_partial.join_on(&p.right_partial, &p.join_attrs)?;
         apply_residual(&joined, &p.residual)
     }
@@ -359,7 +409,7 @@ fn credential_subset(
 /// transport are exact encoded lengths.
 pub fn request_phase<F: Fabric>(
     sc: &mut Scenario,
-    transport: &mut F,
+    mut transport: Link<'_, F>,
 ) -> Result<Prepared, MedError> {
     // Step 1: client → mediator — the query text plus the client's
     // encoded credentials.

@@ -35,10 +35,10 @@ use secmed_wire::{PmPayloadSet, PolyCoeffs};
 
 use crate::audit::ClientView;
 use crate::protocol::{
-    apply_residual, assemble_from_tuple_sets, degrade_note, group_by_join_key, PmConfig, PmEval,
-    PmPayloadMode, Prepared, RunOutcome, RunReport, Scenario,
+    apply_residual, assemble_from_tuple_sets, degrade_note, driver_outcome, group_by_join_key,
+    PmConfig, PmEval, PmPayloadMode, Prepared, RunReport, Scenario,
 };
-use crate::transport::{Fabric, Frame, PartyId, Transport};
+use crate::transport::{Fabric, Frame, Link, PartyId, Transport};
 use crate::MedError;
 
 /// Payload framing version tags.
@@ -126,7 +126,7 @@ pub fn deliver<F: Fabric>(
     sc: &mut Scenario,
     p: Prepared,
     cfg: PmConfig,
-    transport: &mut F,
+    mut transport: Link<'_, F>,
     pool: &Pool,
 ) -> Result<RunReport, MedError> {
     // Step 1: the client's homomorphic public key is distributed with the
@@ -383,14 +383,7 @@ pub fn deliver<F: Fabric>(
 
     Ok(RunReport {
         result,
-        outcome: if degraded.is_empty() {
-            RunOutcome::Clean
-        } else {
-            RunOutcome::Degraded {
-                details: degraded,
-                retries: 0, // filled in by the engine
-            }
-        },
+        outcome: driver_outcome(degraded),
         transport: Transport::new(),
         mediator_view: Default::default(),
         client_view,

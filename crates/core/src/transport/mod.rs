@@ -39,6 +39,7 @@ pub mod socket;
 
 use std::fmt;
 use std::fmt::Write as _;
+use std::num::NonZeroU8;
 use std::sync::OnceLock;
 
 use secmed_crypto::drbg::HmacDrbg;
@@ -325,20 +326,69 @@ pub enum OnExhausted {
 }
 
 /// Bounded-retry policy for [`Fabric::deliver`].
+///
+/// The fields are private, so every policy states its attempt budget
+/// through [`DeliveryPolicy::new`]; the budget is a [`NonZeroU8`], so it
+/// is at least one and at most 255 — a retry loop can neither be skipped
+/// nor spin a mediator on a dead peer.
+///
+/// ```
+/// use std::num::NonZeroU8;
+/// use secmed_core::{DeliveryPolicy, OnExhausted};
+/// const FOUR: NonZeroU8 = NonZeroU8::new(4).unwrap();
+/// let p = DeliveryPolicy::new(FOUR, OnExhausted::Degrade);
+/// assert_eq!(p.max_attempts(), FOUR);
+/// ```
+///
+/// A struct literal (and so a budget inherited through `..`) does not
+/// compile:
+///
+/// ```compile_fail,E0451
+/// use std::num::NonZeroU8;
+/// use secmed_core::{DeliveryPolicy, OnExhausted};
+/// const FOUR: NonZeroU8 = NonZeroU8::new(4).unwrap();
+/// let p = DeliveryPolicy { max_attempts: FOUR, on_exhausted: OnExhausted::Degrade };
+/// ```
+///
+/// Nor does a zero budget:
+///
+/// ```compile_fail,E0080
+/// use std::num::NonZeroU8;
+/// use secmed_core::{DeliveryPolicy, OnExhausted};
+/// const NONE: NonZeroU8 = NonZeroU8::new(0).unwrap();
+/// let p = DeliveryPolicy::new(NONE, OnExhausted::Degrade);
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeliveryPolicy {
-    /// Total attempts per logical message (≥ 1; the first send counts).
-    pub max_attempts: u32,
+    max_attempts: NonZeroU8,
+    on_exhausted: OnExhausted,
+}
+
+impl DeliveryPolicy {
+    /// A policy allowing `max_attempts` attempts per logical message (the
+    /// first send counts).
+    pub const fn new(max_attempts: NonZeroU8, on_exhausted: OnExhausted) -> Self {
+        DeliveryPolicy {
+            max_attempts,
+            on_exhausted,
+        }
+    }
+
+    /// Total attempts per logical message.
+    pub fn max_attempts(&self) -> NonZeroU8 {
+        self.max_attempts
+    }
+
     /// What drivers do once the attempts are spent.
-    pub on_exhausted: OnExhausted,
+    pub fn on_exhausted(&self) -> OnExhausted {
+        self.on_exhausted
+    }
 }
 
 impl Default for DeliveryPolicy {
     fn default() -> Self {
-        DeliveryPolicy {
-            max_attempts: 3,
-            on_exhausted: OnExhausted::Abort,
-        }
+        const THREE: NonZeroU8 = NonZeroU8::new(3).unwrap();
+        DeliveryPolicy::new(THREE, OnExhausted::Abort)
     }
 }
 
@@ -1000,27 +1050,6 @@ pub trait Fabric {
         deliver_over(self, from, to, &label.into(), frame)
     }
 
-    /// Sets the bounded-retry policy on the recorder.
-    fn set_policy(&mut self, policy: DeliveryPolicy) {
-        self.recorder_mut().set_policy(policy);
-    }
-
-    /// The active delivery policy.
-    fn policy(&self) -> DeliveryPolicy {
-        self.recorder().policy()
-    }
-
-    /// Whether drivers should degrade (rather than abort) on an exhausted
-    /// delivery — the only fault-layer question a protocol driver asks.
-    fn degrade_on_exhausted(&self) -> bool {
-        self.recorder().policy().on_exhausted == OnExhausted::Degrade
-    }
-
-    /// Installs a fault plan; subsequent deliveries roll against it.
-    fn install_faults(&mut self, plan: FaultPlan) {
-        self.recorder_mut().install_faults(plan);
-    }
-
     /// Surfaces delayed copies still in flight (the engine calls this
     /// when a run ends, so a delay on the final message is not silently
     /// lost).
@@ -1049,6 +1078,86 @@ impl Fabric for Transport {
     }
 }
 
+/// A protocol driver's handle on the fabric.
+///
+/// The engine sets the delivery policy and installs the run's
+/// [`FaultPlan`] (from `RunOptions::faults`, the one seeded entry point)
+/// on the recorder, then hands the request phase and the delivery driver
+/// a `Link`.  The fabric sits in a private field, so a driver can deliver
+/// frames and ask whether an exhausted delivery degrades — nothing else.
+/// It cannot install faults, change the policy, or reach the recorder, so
+/// the same chaos seed always reproduces the same log.
+///
+/// ```
+/// use secmed_core::transport::Frame;
+/// use secmed_core::{DeliveryPolicy, Fabric, FaultPlan, Link, MedError, PartyId, Transport};
+///
+/// fn driver<F: Fabric>(mut link: Link<'_, F>) -> Result<bool, MedError> {
+///     link.deliver(PartyId::Client, PartyId::Mediator, "step", &Frame::Goodbye)?;
+///     Ok(link.degrade_on_exhausted())
+/// }
+///
+/// let mut fabric = Transport::new();
+/// fabric.recorder_mut().install_faults(FaultPlan::none("seeded"));
+/// fabric.recorder_mut().set_policy(DeliveryPolicy::default());
+/// assert!(!driver(Link::new(&mut fabric))?);
+/// # Ok::<(), MedError>(())
+/// ```
+///
+/// A driver that tries to install its own faults does not compile:
+///
+/// ```compile_fail,E0599
+/// use secmed_core::{Fabric, FaultPlan, Link};
+/// fn driver<F: Fabric>(mut link: Link<'_, F>) {
+///     link.install_faults(FaultPlan::none("driver-local"));
+/// }
+/// ```
+///
+/// Nor one that changes the policy:
+///
+/// ```compile_fail,E0599
+/// use secmed_core::{DeliveryPolicy, Fabric, Link};
+/// fn driver<F: Fabric>(mut link: Link<'_, F>) {
+///     link.set_policy(DeliveryPolicy::default());
+/// }
+/// ```
+///
+/// Nor one that reaches for the recorder:
+///
+/// ```compile_fail,E0599
+/// use secmed_core::{Fabric, FaultPlan, Link};
+/// fn driver<F: Fabric>(mut link: Link<'_, F>) {
+///     link.recorder_mut().install_faults(FaultPlan::none("driver-local"));
+/// }
+/// ```
+pub struct Link<'a, F: Fabric> {
+    fabric: &'a mut F,
+}
+
+impl<'a, F: Fabric> Link<'a, F> {
+    /// Wraps a fabric whose policy and fault plan are already set.
+    pub fn new(fabric: &'a mut F) -> Self {
+        Link { fabric }
+    }
+
+    /// [`Fabric::deliver`] over the wrapped fabric.
+    pub fn deliver(
+        &mut self,
+        from: PartyId,
+        to: PartyId,
+        label: impl Into<String>,
+        frame: &Frame,
+    ) -> Result<Frame, MedError> {
+        self.fabric.deliver(from, to, label, frame)
+    }
+
+    /// Whether drivers should degrade (rather than abort) on an exhausted
+    /// delivery — the only fault-layer question a protocol driver asks.
+    pub fn degrade_on_exhausted(&self) -> bool {
+        self.fabric.recorder().policy().on_exhausted() == OnExhausted::Degrade
+    }
+}
+
 /// The shared delivery loop behind [`Fabric::deliver`]: encode once, then
 /// per attempt roll the verdict on the recorder, carry the surviving copy
 /// over the fabric, and record/decode the result.  Lives as a free
@@ -1062,7 +1171,7 @@ fn deliver_over<F: Fabric>(
     frame: &Frame,
 ) -> Result<Frame, MedError> {
     let encoded = frame.encode_with_session(fabric.recorder().session());
-    let max = fabric.recorder().policy().max_attempts.max(1);
+    let max = u32::from(fabric.recorder().policy().max_attempts().get());
     let mut last = DeliveryError::Dropped;
     for attempt in 1..=max {
         if attempt > 1 {
@@ -1133,6 +1242,11 @@ mod tests {
             FaultKind::Unavailable => unreachable!("use outages"),
         }
         p
+    }
+
+    /// A policy that aborts after `attempts` attempts.
+    fn abort_after(attempts: u8) -> DeliveryPolicy {
+        DeliveryPolicy::new(NonZeroU8::new(attempts).unwrap(), OnExhausted::Abort)
     }
 
     fn query_frame() -> Frame {
@@ -1257,10 +1371,7 @@ mod tests {
         plan.drop_per_mille = 400; // fails sometimes, succeeds within retries
         plan.seed = "retry".into();
         t.install_faults(plan);
-        t.set_policy(DeliveryPolicy {
-            max_attempts: 10,
-            on_exhausted: OnExhausted::Abort,
-        });
+        t.set_policy(abort_after(10));
         let frame = query_frame();
         for i in 0..20 {
             t.deliver(PartyId::Client, PartyId::Mediator, format!("m{i}"), &frame)
@@ -1280,10 +1391,7 @@ mod tests {
     fn exhausted_delivery_returns_typed_failure() {
         let mut t = Transport::new();
         t.install_faults(always(FaultKind::Dropped));
-        t.set_policy(DeliveryPolicy {
-            max_attempts: 3,
-            on_exhausted: OnExhausted::Abort,
-        });
+        t.set_policy(abort_after(3));
         let err = t
             .deliver(PartyId::Client, PartyId::Mediator, "doomed", &query_frame())
             .unwrap_err();
@@ -1302,10 +1410,7 @@ mod tests {
     fn corrupted_copies_never_decode() {
         let mut t = Transport::new();
         t.install_faults(always(FaultKind::Corrupted));
-        t.set_policy(DeliveryPolicy {
-            max_attempts: 2,
-            on_exhausted: OnExhausted::Abort,
-        });
+        t.set_policy(abort_after(2));
         let err = t
             .deliver(PartyId::Client, PartyId::Mediator, "bits", &query_frame())
             .unwrap_err();
@@ -1323,10 +1428,7 @@ mod tests {
     fn truncated_copies_are_shorter_and_rejected() {
         let mut t = Transport::new();
         t.install_faults(always(FaultKind::Truncated));
-        t.set_policy(DeliveryPolicy {
-            max_attempts: 1,
-            on_exhausted: OnExhausted::Abort,
-        });
+        t.set_policy(abort_after(1));
         let frame = query_frame();
         let full = frame.encode().len();
         assert!(t
@@ -1399,10 +1501,7 @@ mod tests {
             steps: 2,
         });
         t.install_faults(plan);
-        t.set_policy(DeliveryPolicy {
-            max_attempts: 1,
-            on_exhausted: OnExhausted::Abort,
-        });
+        t.set_policy(abort_after(1));
         let frame = query_frame();
         // Step 0: s1 as sender is down.
         let err = t
@@ -1438,10 +1537,7 @@ mod tests {
             to: None,
         });
         t.install_faults(plan);
-        t.set_policy(DeliveryPolicy {
-            max_attempts: 1,
-            on_exhausted: OnExhausted::Abort,
-        });
+        t.set_policy(abort_after(1));
         let frame = query_frame();
         assert!(t
             .deliver(PartyId::Client, PartyId::Mediator, "masked", &frame)
@@ -1497,10 +1593,7 @@ mod tests {
         let mut plan = FaultPlan::none("flow");
         plan.drop_per_mille = 500;
         t.install_faults(plan);
-        t.set_policy(DeliveryPolicy {
-            max_attempts: 8,
-            on_exhausted: OnExhausted::Abort,
-        });
+        t.set_policy(abort_after(8));
         let frame = query_frame();
         for i in 0..10 {
             t.deliver(PartyId::Client, PartyId::Mediator, format!("m{i}"), &frame)

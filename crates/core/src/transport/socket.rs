@@ -33,6 +33,7 @@
 
 use std::collections::VecDeque;
 use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::num::NonZeroU64;
 
 use secmed_crypto::drbg::HmacDrbg;
 use secmed_obs::metrics::{self, Class};
@@ -61,38 +62,94 @@ fn io_err(what: &str, e: std::io::Error) -> MedError {
 /// `[delay/2, delay]` by a DRBG keyed on `(seed, session, k)` — a pure
 /// function of the policy, never of thread timing, so chaos runs stay
 /// byte-identical at every thread count.
+///
+/// The fields are private, so every policy states its budget through
+/// [`ReconnectPolicy::new`]: the redial budget is a `u8` (at most 255
+/// redials, never an unbounded loop) and the cap is a [`NonZeroU64`] (a
+/// zero cap cannot collapse the backoff into a reconnect spin).
+///
+/// ```
+/// use std::num::NonZeroU64;
+/// use secmed_core::ReconnectPolicy;
+/// const CAP: NonZeroU64 = NonZeroU64::new(2_000_000).unwrap();
+/// let p = ReconnectPolicy::new(64, 50_000, CAP, 7);
+/// assert_eq!(p.backoff_cap_ns(), CAP);
+/// ```
+///
+/// A struct literal (and so a budget inherited through `..`) does not
+/// compile:
+///
+/// ```compile_fail,E0451
+/// use std::num::NonZeroU64;
+/// use secmed_core::ReconnectPolicy;
+/// const CAP: NonZeroU64 = NonZeroU64::new(2_000_000).unwrap();
+/// let p = ReconnectPolicy { max_reconnects: 64, base_backoff_ns: 50_000, backoff_cap_ns: CAP, seed: 7 };
+/// ```
+///
+/// Nor does a zero cap:
+///
+/// ```compile_fail,E0080
+/// use std::num::NonZeroU64;
+/// use secmed_core::ReconnectPolicy;
+/// const CAP: NonZeroU64 = NonZeroU64::new(0).unwrap();
+/// let p = ReconnectPolicy::new(64, 50_000, CAP, 7);
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReconnectPolicy {
-    /// Redial budget per session; 0 disables reconnection entirely
-    /// (any connection death is a terminal fabric error, as before).
-    pub max_reconnects: u32,
-    /// First backoff delay in nanoseconds.
-    pub base_backoff_ns: u64,
-    /// Ceiling on the exponential backoff.
-    pub backoff_cap_ns: u64,
-    /// Keys the jitter DRBG (together with the session id).
-    pub seed: u64,
+    max_reconnects: u8,
+    base_backoff_ns: u64,
+    backoff_cap_ns: NonZeroU64,
+    seed: u64,
 }
 
 impl ReconnectPolicy {
+    /// A policy of `max_reconnects` redials per session (0 disables
+    /// reconnection: any connection death is a terminal fabric error),
+    /// backing off from `base_backoff_ns` up to `backoff_cap_ns`, with
+    /// jitter keyed by `seed` (together with the session id).
+    pub const fn new(
+        max_reconnects: u8,
+        base_backoff_ns: u64,
+        backoff_cap_ns: NonZeroU64,
+        seed: u64,
+    ) -> Self {
+        ReconnectPolicy {
+            max_reconnects,
+            base_backoff_ns,
+            backoff_cap_ns,
+            seed,
+        }
+    }
+
     /// No reconnection: every connection death is terminal.
     pub fn none() -> Self {
-        ReconnectPolicy {
-            max_reconnects: 0,
-            base_backoff_ns: 0,
-            backoff_cap_ns: 1,
-            seed: 0,
-        }
+        ReconnectPolicy::new(0, 0, NonZeroU64::MIN, 0)
     }
 
     /// A sane interactive default: a handful of redials, sub-second cap.
     pub fn standard(seed: u64) -> Self {
-        ReconnectPolicy {
-            max_reconnects: 8,
-            base_backoff_ns: 200_000,
-            backoff_cap_ns: 50_000_000,
-            seed,
-        }
+        const CAP: NonZeroU64 = NonZeroU64::new(50_000_000).unwrap();
+        ReconnectPolicy::new(8, 200_000, CAP, seed)
+    }
+
+    /// Redial budget per session.
+    pub fn max_reconnects(&self) -> u8 {
+        self.max_reconnects
+    }
+
+    /// First backoff delay in nanoseconds.
+    pub fn base_backoff_ns(&self) -> u64 {
+        self.base_backoff_ns
+    }
+
+    /// Ceiling on the exponential backoff.
+    pub fn backoff_cap_ns(&self) -> NonZeroU64 {
+        self.backoff_cap_ns
+    }
+
+    /// Keys the jitter DRBG (together with the session id).
+    pub fn seed(&self) -> u64 {
+        self.seed
     }
 
     /// Whether reconnection is enabled at all.
@@ -109,7 +166,7 @@ impl ReconnectPolicy {
         let delay = self
             .base_backoff_ns
             .saturating_mul(1u64 << exp)
-            .min(self.backoff_cap_ns.max(1));
+            .min(self.backoff_cap_ns.get());
         let floor = delay / 2;
         let span = delay - floor + 1;
         let label = format!("reconnect/{}/{}/{}", self.seed, session, attempt);
@@ -165,7 +222,7 @@ impl SocketFabric {
             match Self::dial(addr, session, policy) {
                 Ok(socket) => break socket,
                 Err(MedError::Busy(m)) => {
-                    if reconnects_used >= reconnect.max_reconnects {
+                    if reconnects_used >= u32::from(reconnect.max_reconnects) {
                         return Err(MedError::Busy(m));
                     }
                     reconnects_used += 1;
@@ -198,8 +255,8 @@ impl SocketFabric {
             .map_err(|e| io_err("set_nodelay", e))?;
         let hello = Frame::Hello {
             client_version: WIRE_VERSION,
-            max_attempts: policy.max_attempts,
-            degrade_on_exhausted: policy.on_exhausted == OnExhausted::Degrade,
+            max_attempts: u32::from(policy.max_attempts().get()),
+            degrade_on_exhausted: policy.on_exhausted() == OnExhausted::Degrade,
         };
         stream::write_blob(&mut socket, &hello.encode_with_session(session))
             .map_err(|e| io_err("send hello", e))?;
@@ -255,7 +312,7 @@ impl SocketFabric {
         if !self.reconnect.enabled() {
             return Err(cause);
         }
-        while self.reconnects_used < self.reconnect.max_reconnects {
+        while self.reconnects_used < u32::from(self.reconnect.max_reconnects) {
             self.reconnects_used += 1;
             metrics::incr(Class::Deterministic, M_RECONNECTS, 1);
             metrics::sleep_ns(

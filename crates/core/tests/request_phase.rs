@@ -4,7 +4,7 @@
 use relalg::{Relation, Schema, Type, Value};
 use secmed_core::protocol::request_phase;
 use secmed_core::{
-    AccessPolicy, AccessRule, CertificationAuthority, Client, DataSource, Mediator, Property,
+    AccessPolicy, AccessRule, CertificationAuthority, Client, DataSource, Link, Mediator, Property,
     Scenario, Transport,
 };
 use secmed_crypto::drbg::HmacDrbg;
@@ -60,7 +60,7 @@ fn scenario_with_two_credentials() -> Scenario {
 fn mediator_forwards_only_relevant_credentials() {
     let mut sc = scenario_with_two_credentials();
     let mut transport = Transport::new();
-    let prepared = request_phase(&mut sc, &mut transport).unwrap();
+    let prepared = request_phase(&mut sc, Link::new(&mut transport)).unwrap();
     // Each source received exactly the credential its policy asks for.
     assert_eq!(prepared.left_creds.len(), 1);
     assert!(prepared.left_creds[0].asserts(&Property::new("role", "auditor")));
@@ -91,7 +91,7 @@ fn sources_with_open_policies_still_get_a_key_carrier() {
         ca.public_key().clone(),
     );
     let mut transport = Transport::new();
-    let prepared = request_phase(&mut sc, &mut transport).unwrap();
+    let prepared = request_phase(&mut sc, Link::new(&mut transport)).unwrap();
     assert_eq!(prepared.left_creds.len(), 1);
     assert_eq!(prepared.left_client_key(), &sc.client.hybrid().public());
 }
@@ -100,7 +100,7 @@ fn sources_with_open_policies_still_get_a_key_carrier() {
 fn request_phase_records_four_messages() {
     let mut sc = scenario_with_two_credentials();
     let mut transport = Transport::new();
-    request_phase(&mut sc, &mut transport).unwrap();
+    request_phase(&mut sc, Link::new(&mut transport)).unwrap();
     // L1.1 client→mediator, two L1.3 mediator→source messages.
     assert_eq!(transport.message_count(), 3);
 }
@@ -109,7 +109,7 @@ fn request_phase_records_four_messages() {
 fn credential_bytes_on_the_wire_are_exact() {
     let mut sc = scenario_with_two_credentials();
     let mut transport = Transport::new();
-    request_phase(&mut sc, &mut transport).unwrap();
+    request_phase(&mut sc, Link::new(&mut transport)).unwrap();
     // Every recorded byte is a real encoded frame: decoding each recorded
     // payload and re-encoding the frame reproduces the byte count exactly.
     // (The pre-wire implementation estimated credential sizes with a
@@ -128,5 +128,5 @@ fn query_against_unknown_sources_is_rejected() {
     let mut sc = scenario_with_two_credentials();
     sc.query = "select * from ghost natural join r2".to_string();
     let mut transport = Transport::new();
-    assert!(request_phase(&mut sc, &mut transport).is_err());
+    assert!(request_phase(&mut sc, Link::new(&mut transport)).is_err());
 }

@@ -258,8 +258,6 @@ pub enum Expr {
         path: Vec<String>,
         /// Field initializers.
         fields: Vec<FieldInit>,
-        /// Whether a `..base` functional-update tail is present.
-        has_rest: bool,
         /// Source line.
         line: u32,
     },
@@ -328,9 +326,6 @@ pub enum Expr {
     },
     /// A literal (string, char, number, bool).
     Lit {
-        /// Raw token text (`"0"`, `"50_000"`, `"true"`); empty for the
-        /// implicit endpoints of open ranges.
-        text: String,
         /// Source line.
         line: u32,
     },
@@ -1068,10 +1063,7 @@ impl<'a> Parser<'a> {
                 lhs = Expr::Binary {
                     op,
                     lhs: Box::new(lhs),
-                    rhs: Box::new(Expr::Lit {
-                        text: String::new(),
-                        line,
-                    }),
+                    rhs: Box::new(Expr::Lit { line }),
                     line,
                 };
                 continue;
@@ -1247,7 +1239,6 @@ impl<'a> Parser<'a> {
     fn struct_lit(&mut self, path: Vec<String>, line: u32) -> Expr {
         self.pos += 1; // {
         let mut fields = Vec::new();
-        let mut has_rest = false;
         while let Some(t) = self.peek(0) {
             match t.text.as_str() {
                 "}" => {
@@ -1257,7 +1248,6 @@ impl<'a> Parser<'a> {
                 "," => self.pos += 1,
                 ".." => {
                     let rest_line = t.line;
-                    has_rest = true;
                     self.pos += 1;
                     // `Path { .. }` is a rest *pattern* read in expression
                     // position (e.g. inside `matches!`): there is no base
@@ -1294,12 +1284,7 @@ impl<'a> Parser<'a> {
                 }
             }
         }
-        Expr::StructLit {
-            path,
-            fields,
-            has_rest,
-            line,
-        }
+        Expr::StructLit { path, fields, line }
     }
 
     fn primary(&mut self, structs: bool) -> Expr {
@@ -1309,18 +1294,16 @@ impl<'a> Parser<'a> {
         let line = t.line;
         match (t.kind, t.text.as_str()) {
             (TokenKind::Number, _) | (TokenKind::Literal, _) | (TokenKind::Lifetime, _) => {
-                let text = t.text.clone();
                 self.pos += 1;
                 // A lifetime here is a loop label: `'a: loop { ... }`.
                 if self.eat_punct(":") {
                     return self.primary(structs);
                 }
-                Expr::Lit { text, line }
+                Expr::Lit { line }
             }
             (TokenKind::Ident, "true") | (TokenKind::Ident, "false") => {
-                let text = t.text.clone();
                 self.pos += 1;
-                Expr::Lit { text, line }
+                Expr::Lit { line }
             }
             (TokenKind::Ident, "if") => self.if_expr(),
             (TokenKind::Ident, "while") => {
@@ -1464,19 +1447,13 @@ impl<'a> Parser<'a> {
                 // Prefix range `..n`.
                 self.pos += 1;
                 let rhs = if self.range_rhs_absent() {
-                    Expr::Lit {
-                        text: String::new(),
-                        line,
-                    }
+                    Expr::Lit { line }
                 } else {
                     self.expr_bp(2, structs)
                 };
                 Expr::Binary {
                     op: "..".to_string(),
-                    lhs: Box::new(Expr::Lit {
-                        text: String::new(),
-                        line,
-                    }),
+                    lhs: Box::new(Expr::Lit { line }),
                     rhs: Box::new(rhs),
                     line,
                 }
@@ -1975,22 +1952,16 @@ mod tests {
             panic!()
         };
         let Stmt::Let {
-            init:
-                Some(Expr::StructLit {
-                    path,
-                    fields,
-                    has_rest,
-                    ..
-                }),
+            init: Some(Expr::StructLit { path, fields, .. }),
             ..
         } = &func.body.stmts[0]
         else {
             panic!("{:?}", func.body.stmts[0])
         };
         assert_eq!(path, &["Policy"]);
-        assert!(*has_rest);
         assert_eq!(fields[0].name, "max");
         assert!(fields[1].value.is_none(), "shorthand field");
+        assert_eq!(fields[2].name, "..", "functional-update base");
     }
 
     /// A `Path { .. }` rest pattern in expression position (the

@@ -8,6 +8,7 @@
 //!   code (a panic in the mediator is a DoS lever),
 //! - `transport-discipline` — protocol messages flow through the recording
 //!   `secmed-core::transport`, keeping traces complete,
+//! - `wire-discipline` — frame codec calls only at the fabric boundary,
 //! - `determinism` — wall-clock reads only in `crates/obs` / `crates/bench`,
 //! - `dependency-policy` — every `Cargo.toml` dependency is a path dep.
 //!
@@ -17,9 +18,12 @@
 //! - `secret-flow` — interprocedural taint: key material must not reach
 //!   branches, loop bounds, allocation sizes, or `==`/`!=`,
 //! - `census-coverage` — modular exponentiations in `crates/crypto` must
-//!   bump the primitive census so Table 2 stays exact,
-//! - `retry-discipline` — `DeliveryPolicy` bounded, `RunOutcome::Degraded`
-//!   explained.
+//!   bump the primitive census so Table 2 stays exact.
+//!
+//! Bounded retries, explained degradation, and harness-only fault
+//! schedules are not rules: `secmed-core`'s types hold them
+//! (`DeliveryPolicy::new`, `ReconnectPolicy::new`, `Degradations`, and
+//! the driver-side `Link`), so the compiler rejects a violation.
 //!
 //! Violations render as `file:line: rule-id: message`; a machine-readable
 //! JSONL report goes to `target/obs/lint.jsonl`.  Audited escapes use

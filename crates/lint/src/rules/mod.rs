@@ -8,9 +8,7 @@
 mod census_coverage;
 mod dependency_policy;
 mod determinism;
-mod fault_discipline;
 mod panic_freedom;
-mod retry_discipline;
 mod secret_flow;
 mod transport_discipline;
 mod wire_discipline;
@@ -18,25 +16,21 @@ mod wire_discipline;
 pub use census_coverage::CensusCoverage;
 pub use dependency_policy::DependencyPolicy;
 pub use determinism::Determinism;
-pub use fault_discipline::FaultDiscipline;
 pub use panic_freedom::PanicFreedom;
-pub use retry_discipline::RetryDiscipline;
 pub use secret_flow::SecretFlow;
 pub use transport_discipline::TransportDiscipline;
 pub use wire_discipline::WireDiscipline;
 
 use crate::engine::Rule;
 
-/// The nine shipped rules, in reporting order.
+/// The seven shipped rules, in reporting order.
 pub fn default_rules() -> Vec<Box<dyn Rule>> {
     vec![
         Box::new(PanicFreedom),
         Box::new(SecretFlow),
         Box::new(CensusCoverage),
-        Box::new(RetryDiscipline),
         Box::new(TransportDiscipline),
         Box::new(WireDiscipline),
-        Box::new(FaultDiscipline),
         Box::new(Determinism),
         Box::new(DependencyPolicy),
     ]

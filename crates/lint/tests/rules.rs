@@ -273,41 +273,6 @@ fn wire_discipline_passes_good_fixture_and_the_boundary_itself() {
 }
 
 #[test]
-fn fault_discipline_flags_plan_construction_in_a_driver() {
-    let out = lint_at(
-        "crates/core/src/protocol/das.rs",
-        include_str!("fixtures/fault_discipline_bad.rs"),
-    );
-    assert!(
-        out.findings.iter().all(|f| f.rule == "fault-discipline"),
-        "{:#?}",
-        out.findings
-    );
-    let lines: Vec<u32> = out.findings.iter().map(|f| f.line).collect();
-    assert_eq!(lines, vec![5, 6, 7, 12], "{:#?}", out.findings);
-}
-
-#[test]
-fn fault_discipline_passes_degrade_only_driver_and_the_fabric_itself() {
-    let out = lint_at(
-        "crates/core/src/protocol/das.rs",
-        include_str!("fixtures/fault_discipline_good.rs"),
-    );
-    assert!(out.clean(), "{:#?}", out.findings);
-    // The same plan-building code is fine at the fabric boundary and in
-    // the harness crates that seed chaos runs.
-    for path in [
-        "crates/core/src/transport/mod.rs",
-        "crates/core/src/engine.rs",
-        "crates/testkit/src/lib.rs",
-        "crates/bench/src/bin/chaos_sweep.rs",
-    ] {
-        let out = lint_at(path, include_str!("fixtures/fault_discipline_bad.rs"));
-        assert!(out.clean(), "{path}: {:#?}", out.findings);
-    }
-}
-
-#[test]
 fn determinism_flags_bad_fixture_even_in_tests() {
     let out = lint_at(
         "crates/core/src/protocol/fixture.rs",

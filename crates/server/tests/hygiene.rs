@@ -261,12 +261,12 @@ fn resumes_interleave_cleanly_with_other_sessions() {
                         addr,
                         session,
                         Default::default(),
-                        secmed_core::ReconnectPolicy {
-                            max_reconnects: 32,
-                            base_backoff_ns: 50_000,
-                            backoff_cap_ns: 2_000_000,
-                            seed: session,
-                        },
+                        secmed_core::ReconnectPolicy::new(
+                            32,
+                            50_000,
+                            std::num::NonZeroU64::new(2_000_000).unwrap(),
+                            session,
+                        ),
                     )
                     .expect("handshake");
                     let mut payload = Frame::Goodbye.encode_with_session(session);

@@ -84,6 +84,11 @@ cargo test -q --offline -p secmed-lint --test rules
 cargo test -q --offline -p secmed-lint --test report
 cargo test -q --offline -p secmed-lint --test selftest
 
+# The guarantees that replaced lint rules, run by name: the
+# `compile_fail` doctests on `DeliveryPolicy`, `ReconnectPolicy`,
+# `Degradations` and `Link` (and their compiling counterparts).
+cargo test -q --offline -p secmed-core --doc
+
 # Static analysis: the in-tree lint ratchets findings against the
 # committed lint-baseline.json — new findings fail, stale entries fail,
 # `cargo run -p secmed-lint -- . --bless-baseline` regenerates.  On
